@@ -23,9 +23,6 @@ run $BENCH/bench_fig5b_contention --ms $MS --lens $LENS
 run $BENCH/bench_fig5c_latency    --ms $MS
 run $BENCH/bench_fig6_vacation    --ms $MS --threads $THREADS --futures $FUTS
 run $BENCH/bench_fig6_tpcc        --ms $MS --threads $THREADS --futures $FUTS
-run $BENCH/bench_ablation_eager_lazy --ms $MS
-run $BENCH/bench_ablation_intertree  --ms $MS
-run $BENCH/bench_ablation_rollback   --ms $MS
 run $BENCH/bench_ablation_ro_futures --ms $MS
 run $BENCH/bench_stm_comparison      --ms $MS
 run $BENCH/bench_intset              --ms $MS

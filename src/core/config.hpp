@@ -1,7 +1,7 @@
 // Runtime configuration knobs for the transactional-futures engine.
 //
 // The defaults follow the paper's JTF design; the alternatives exist for the
-// ablation benchmarks (DESIGN.md experiments Abl. A/B/C).
+// ablation benchmarks (DESIGN.md §5).
 #pragma once
 
 #include <cstddef>
@@ -12,41 +12,6 @@
 #include "util/failpoint.hpp"
 
 namespace txf::core {
-
-/// Where sub-transaction writes live.
-enum class WriteMode {
-  /// Paper default: tentative versions are linked into the VBox itself; the
-  /// head of the tentative list acts as a tree-wide lock, so write-write
-  /// conflicts between trees are detected eagerly (§IV-A).
-  kEager,
-  /// Ablation: writes always go to the tree-private store (the
-  /// rootWriteSet generalized with per-owner tags). Inter-tree conflicts
-  /// surface only at top-level validation.
-  kLazy,
-};
-
-/// What happens when a sub-transaction hits a VBox whose tentative list is
-/// locked by another transaction tree (Alg. 1, ownedbyAnotherTree).
-enum class InterTreePolicy {
-  /// Paper behaviour: abort up to the root and re-execute the tree in
-  /// fallback mode, where writes go through the tree-private store.
-  kAbortToRoot,
-  /// Ablation: switch the running tree to the private store on the fly and
-  /// continue without aborting.
-  kSwitchToPrivate,
-};
-
-/// How a continuation that fails intra-tree validation recovers.
-enum class RestartPolicy {
-  /// Conservative substitute for JTF's first-class continuations: restart
-  /// the whole top-level tree (DESIGN.md substitution 2).
-  kTreeRestart,
-  /// FCC analogue: restore the stack snapshot taken at the submit point and
-  /// replay only the subtree rooted at the continuation. Requires bodies to
-  /// run on fibers (see core/fcc.hpp) and locals that live across a submit
-  /// to be trivially copyable.
-  kPartialRollback,
-};
 
 /// How TxCtx::submit runs a transactional future. Strong ordering makes
 /// inline elision (running the body synchronously at the submit point)
@@ -86,9 +51,6 @@ struct Config {
   /// constructor throws std::invalid_argument otherwise. 1 reproduces the
   /// unsharded single-pipeline engine exactly.
   unsigned commit_stripes = 8;
-  WriteMode write_mode = WriteMode::kEager;
-  InterTreePolicy inter_tree = InterTreePolicy::kAbortToRoot;
-  RestartPolicy restart = RestartPolicy::kTreeRestart;
   /// §IV-E: skip validation of read-only futures when no read-write
   /// sub-transaction committed before them. Off switch is ablation Abl. C.
   bool read_only_future_opt = true;

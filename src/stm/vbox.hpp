@@ -237,13 +237,13 @@ class VBoxImpl {
 
   /// Head of the tentative (uncommitted, tree-owned) version list; a
   /// non-null head from another tree is the eager write-write conflict
-  /// signal under WriteMode::kEager (Alg. 1, ownedbyAnotherTree).
+  /// signal (Alg. 1, ownedbyAnotherTree).
   core::TentativeVersion* tentative_head() const noexcept {
     return tentative_.load(std::memory_order_acquire);
   }
 
   /// Claim/extend the tentative list; failure means another tree owns the
-  /// box (caller applies Config::inter_tree policy).
+  /// box (the caller's tree aborts and restarts in fallback mode).
   bool cas_tentative_head(core::TentativeVersion* expected,
                           core::TentativeVersion* desired) noexcept {
     return tentative_.compare_exchange_strong(expected, desired,
@@ -314,9 +314,9 @@ class VBox {
   }
 
   /// Transactional write (buffered; nothing is visible outside the
-  /// transaction until its top-level commit). Under WriteMode::kEager a
-  /// write may hit a box owned by another tree and abort/fall back per
-  /// Config::inter_tree; same abort-propagation rule as get().
+  /// transaction until its top-level commit). A sub-transaction write may
+  /// hit a box owned by another tree and abort the transaction, which
+  /// restarts in fallback mode; same abort-propagation rule as get().
   template <typename Ctx>
   void put(Ctx& ctx, const T& value) {
     ctx.write(impl_, pack_word(value));

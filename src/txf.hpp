@@ -10,8 +10,8 @@
 //   });
 //
 // Where to look:
-//   core/config.hpp   every engine knob (scheduling modes, write modes,
-//                     restart policies, contention manager, chaos plans)
+//   core/config.hpp   every engine knob (scheduling modes, contention
+//                     manager, chaos plans)
 //   core/api.hpp      atomically / TxCtx::submit / TxFuture / retry_now
 //   core/runtime.hpp  Runtime: pool + STM env + stats, one per process
 //                     region of shared state

@@ -10,14 +10,12 @@
 #include <vector>
 
 #include "core/api.hpp"
-#include "core/fcc.hpp"
 #include "util/failpoint.hpp"
 
 namespace {
 
 using txf::core::atomically;
 using txf::core::Config;
-using txf::core::RestartPolicy;
 using txf::core::Runtime;
 using txf::core::TxCtx;
 using txf::stm::VBox;
@@ -95,21 +93,10 @@ TEST(Chaos, SameSeedThreeRunsIdenticalCommittedResults) {
   EXPECT_EQ(counters, (std::vector<long>{25, 25, 25}));
 }
 
-TEST(Chaos, BothRestartPoliciesSurviveTheSchedule) {
-  for (const auto policy :
-       {RestartPolicy::kTreeRestart, RestartPolicy::kPartialRollback}) {
-    // TSan cannot follow the fiber stack restore (see tests/CMakeLists.txt
-    // quarantine note); the tree-restart half still runs sanitized.
-    if (policy == RestartPolicy::kPartialRollback &&
-        txf::core::kFibersUnsafeUnderTsan) {
-      continue;
-    }
-    Config cfg = acceptance_schedule(0x5eedULL);
-    cfg.restart = policy;
-    Runtime rt(cfg);
-    EXPECT_EQ(chain_result(rt), 1234L);
-    EXPECT_EQ(counter_result(rt, 20), 20L);
-  }
+TEST(Chaos, AcceptanceScheduleHoldsAtAnotherSeed) {
+  Runtime rt(acceptance_schedule(0x5eedULL));
+  EXPECT_EQ(chain_result(rt), 1234L);
+  EXPECT_EQ(counter_result(rt, 20), 20L);
 }
 
 TEST(Chaos, SerialFallbackGuaranteesTermination) {

@@ -1,22 +1,23 @@
-// Conflict handling: future re-execution, continuation conflicts with the
-// tree-restart policy, inter-tree write-write conflicts (eager lock +
+// Conflict handling: future re-execution, continuation conflicts with a
+// whole-tree restart, inter-tree write-write conflicts (eager lock +
 // fallback), and top-level validation conflicts between trees.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/api.hpp"
+#include "util/failpoint.hpp"
 
 namespace {
 
 using txf::core::atomically;
 using txf::core::Config;
-using txf::core::InterTreePolicy;
 using txf::core::Runtime;
 using txf::core::TxCtx;
-using txf::core::WriteMode;
 using txf::stm::VBox;
 
 TEST(Conflict, FutureMissingPredecessorWriteReexecutes) {
@@ -110,67 +111,96 @@ TEST(Conflict, InterTreeWriteWriteEagerlyDetected) {
   EXPECT_TRUE(final_val == 1 || final_val == 2);
 }
 
-TEST(Conflict, SwitchToPrivatePolicyAvoidsRestart) {
+TEST(Conflict, FallbackModeCommitsBothBlindWriters) {
+  // The core.subtxn.start failpoint fails each tree's first future start
+  // with an inter-tree conflict, so both trees restart in fallback mode
+  // (Alg. 1). There every sub-transaction write goes to the tree-private
+  // store and takes no box lock, so two blind writers of one box both
+  // commit without a further restart.
   Config cfg;
   cfg.pool_threads = 2;
-  cfg.inter_tree = InterTreePolicy::kSwitchToPrivate;
+  cfg.scheduling = txf::core::SchedulingMode::kAlwaysParallel;
+  cfg.chaos.add("core.subtxn.start", txf::util::fp::Action::kFail, 1);
   Runtime rt(cfg);
   rt.stats().reset();
   VBox<int> hot(0);
-  std::barrier sync(2);
+  std::atomic<int> fallback_commits{0};
   auto worker = [&](int id) {
     atomically(rt, [&](TxCtx& ctx) {
+      const bool fallback = ctx.tree().in_fallback();
+      if (fallback) {
+        // Disarm only once both trees have taken the forced restart.
+        for (int spins = 0; rt.stats().fallback_restarts.load() < 2 &&
+                            spins < 2000000;
+             ++spins) {
+          std::this_thread::yield();
+        }
+        txf::util::fp::Controller::instance().disarm();
+      }
       auto f = ctx.submit([&, id](TxCtx& c) {
         hot.put(c, id);
-        static std::atomic<int> first{0};
-        int expected = 0;
-        if (first.compare_exchange_strong(expected, 1)) {
-          sync.arrive_and_wait();  // hold the lock while the peer writes
-        } else {
-          sync.arrive_and_wait();
-        }
         return 0;
       });
       f.get(ctx);
+      if (fallback) fallback_commits.fetch_add(1);
     });
   };
   std::thread t1(worker, 1);
   std::thread t2(worker, 2);
   t1.join();
   t2.join();
-  EXPECT_EQ(rt.stats().top_commits.load(), 2u);
-  EXPECT_EQ(rt.stats().fallback_restarts.load(), 0u);
-}
-
-TEST(Conflict, LazyWriteModeCommitsBothBlindWriters) {
-  Config cfg;
-  cfg.pool_threads = 2;
-  cfg.write_mode = WriteMode::kLazy;
-  Runtime rt(cfg);
-  VBox<int> hot(0);
-  std::thread t1([&] {
-    atomically(rt, [&](TxCtx& ctx) {
-      auto f = ctx.submit([&](TxCtx& c) {
-        hot.put(c, 1);
-        return 0;
-      });
-      f.get(ctx);
-    });
-  });
-  std::thread t2([&] {
-    atomically(rt, [&](TxCtx& ctx) {
-      auto f = ctx.submit([&](TxCtx& c) {
-        hot.put(c, 2);
-        return 0;
-      });
-      f.get(ctx);
-    });
-  });
-  t1.join();
-  t2.join();
   const int v = hot.peek_committed();
   EXPECT_TRUE(v == 1 || v == 2);
   EXPECT_EQ(rt.stats().top_commits.load(), 2u);
+  EXPECT_EQ(rt.stats().fallback_restarts.load(), 2u);
+  EXPECT_EQ(fallback_commits.load(), 2);
+  EXPECT_EQ(rt.stats().serial_fallbacks.load(), 0u);
+}
+
+TEST(Conflict, NestedContinuationMissReRunsToSequentialResult) {
+  // The mid-level continuation may read x before its nested future writes
+  // it; strong ordering still demands it sees the write.
+  Runtime rt(Config{.pool_threads = 2});
+  VBox<int> x(0);
+  const int v = atomically(rt, [&](TxCtx& ctx) {
+    auto outer = ctx.submit([&](TxCtx& mid) {
+      auto inner = mid.submit([&](TxCtx& in) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        x.put(in, 5);
+        return 0;
+      });
+      const int seen = x.get(mid);  // may race ahead of `inner`
+      inner.get(mid);
+      return seen;
+    });
+    return outer.get(ctx);
+  });
+  EXPECT_EQ(v, 5);
+  EXPECT_EQ(x.peek_committed(), 5);
+}
+
+TEST(Conflict, ConcurrentTreesWithContinuationConflicts) {
+  // Each continuation reads the box its own future increments (an
+  // intra-tree conflict), while two trees race on that same box.
+  Runtime rt(Config{.pool_threads = 2});
+  VBox<long> counter(0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 40; ++i) {
+        atomically(rt, [&](TxCtx& ctx) {
+          auto f = ctx.submit([&](TxCtx& c) {
+            counter.put(c, counter.get(c) + 1);
+            return 0;
+          });
+          (void)counter.get(ctx);  // likely conflicts with own future
+          f.get(ctx);
+        });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(counter.peek_committed(), 80);
 }
 
 TEST(Conflict, TopLevelReadWriteConflictRetries) {

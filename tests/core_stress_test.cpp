@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "util/failpoint.hpp"
 #include "util/xoshiro.hpp"
 
 namespace {
@@ -18,7 +19,6 @@ using txf::core::Config;
 using txf::core::Runtime;
 using txf::core::TxCtx;
 using txf::core::TxFuture;
-using txf::core::WriteMode;
 using txf::stm::VBox;
 
 TEST(CoreStress, CounterWithFuturesUnderConcurrency) {
@@ -97,12 +97,18 @@ TEST(CoreStress, BankTransferInvariantWithFutures) {
 
 // ---------------------------------------------------------------------
 // Property sweep: random programs with nested futures must produce exactly
-// the state the sequential oracle produces, across write modes and seeds.
+// the state the sequential oracle produces, across seeds, both on the
+// default (eager) write path and in fallback mode.
 // ---------------------------------------------------------------------
 
 struct SweepParam {
   std::uint64_t seed;
-  WriteMode mode;
+  // Fallback mode (Alg. 1's tree-private store): the core.subtxn.start
+  // failpoint fails the first attempt's first future start with an
+  // inter-tree conflict, so the retry runs as a fallback tree. The
+  // failpoint is disarmed as that retry begins, so the fallback attempt
+  // runs its futures in parallel rather than escalating to serial mode.
+  bool fallback;
 };
 
 class RandomTreeProperty : public ::testing::TestWithParam<SweepParam> {};
@@ -146,15 +152,27 @@ TEST_P(RandomTreeProperty, MatchesSequentialOracle) {
   auto run = [&](bool serial) {
     Config cfg;
     cfg.pool_threads = 2;
-    cfg.write_mode = param.mode;
+    const bool force_fallback = param.fallback && !serial;
+    if (force_fallback) {
+      cfg.chaos.add("core.subtxn.start", txf::util::fp::Action::kFail, 1);
+    }
     Runtime rt(cfg);
     std::deque<VBox<long>> boxes;
     for (int i = 0; i < kBoxes; ++i) boxes.emplace_back(100 + i);
+    bool ran_fallback = false;
     atomically(rt, [&](TxCtx& ctx) {
       if (serial) ctx.tree().set_serial();
+      if (force_fallback && ctx.tree().in_fallback()) {
+        ran_fallback = true;
+        txf::util::fp::Controller::instance().disarm();
+      }
       txf::util::Xoshiro256 rng(param.seed);
       run_ops(ctx, boxes, rng, 0, 10);
     });
+    if (force_fallback) {
+      EXPECT_GT(rt.stats().fallback_restarts.load(), 0u);
+      EXPECT_TRUE(ran_fallback);
+    }
     std::vector<long> out;
     for (auto& b : boxes) out.push_back(b.peek_committed());
     return out;
@@ -162,20 +180,20 @@ TEST_P(RandomTreeProperty, MatchesSequentialOracle) {
 
   const std::vector<long> parallel = run(false);
   const std::vector<long> sequential = run(true);
-  EXPECT_EQ(parallel, sequential) << "seed=" << param.seed;
+  EXPECT_EQ(parallel, sequential)
+      << "seed=" << param.seed << " fallback=" << param.fallback;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, RandomTreeProperty,
-    ::testing::Values(
-        SweepParam{1, WriteMode::kEager}, SweepParam{2, WriteMode::kEager},
-        SweepParam{3, WriteMode::kEager}, SweepParam{4, WriteMode::kEager},
-        SweepParam{5, WriteMode::kEager}, SweepParam{6, WriteMode::kEager},
-        SweepParam{7, WriteMode::kEager}, SweepParam{8, WriteMode::kEager},
-        SweepParam{1, WriteMode::kLazy}, SweepParam{2, WriteMode::kLazy},
-        SweepParam{3, WriteMode::kLazy}, SweepParam{4, WriteMode::kLazy},
-        SweepParam{5, WriteMode::kLazy}, SweepParam{6, WriteMode::kLazy},
-        SweepParam{7, WriteMode::kLazy}, SweepParam{8, WriteMode::kLazy}));
+    ::testing::Values(SweepParam{1, false}, SweepParam{2, false},
+                      SweepParam{3, false}, SweepParam{4, false},
+                      SweepParam{5, false}, SweepParam{6, false},
+                      SweepParam{7, false}, SweepParam{8, false},
+                      SweepParam{1, true}, SweepParam{2, true},
+                      SweepParam{3, true}, SweepParam{4, true},
+                      SweepParam{5, true}, SweepParam{6, true},
+                      SweepParam{7, true}, SweepParam{8, true}));
 
 TEST(CoreStress, ManyConcurrentTreesDisjointData) {
   // Scalability smoke: disjoint working sets never conflict.

@@ -121,6 +121,10 @@ TEST(EpochStress, ConcurrentRetireAndRead) {
   });
 
   std::thread writer([&] {
+    // Let the reader complete one traversal first: otherwise the writer can
+    // finish all its rounds before the reader is ever scheduled.
+    while (reads.load(std::memory_order_relaxed) == 0)
+      std::this_thread::yield();
     for (int round = 0; round < 200; ++round) {
       // Pop up to 5 nodes, retire them, push 5 new ones.
       for (int i = 0; i < 5; ++i) {

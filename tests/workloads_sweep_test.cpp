@@ -1,63 +1,55 @@
 // Parameterized consistency sweeps: the Vacation and TPC-C workloads must
-// pass their audits under every engine configuration (write mode,
-// inter-tree policy, restart policy, futures fan-out) and concurrency.
+// pass their audits on the default engine and in fallback mode (Alg. 1's
+// tree-private store), across futures fan-out and concurrency.
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "core/fcc.hpp"
+#include "util/failpoint.hpp"
 #include "workloads/tpcc/tpcc.hpp"
 #include "workloads/vacation/vacation.hpp"
 
 namespace {
 
 using txf::core::Config;
-using txf::core::InterTreePolicy;
-using txf::core::RestartPolicy;
 using txf::core::Runtime;
-using txf::core::WriteMode;
+using txf::core::SchedulingMode;
 using txf::util::Xoshiro256;
 namespace vac = txf::workloads::vacation;
 namespace tpcc = txf::workloads::tpcc;
 
 struct EngineParam {
-  WriteMode write_mode;
-  InterTreePolicy inter_tree;
-  RestartPolicy restart;
+  // Drive trees into fallback mode: the core.subtxn.start failpoint fires
+  // on every 5th future start, which fails the tree with an inter-tree
+  // conflict, and the retry re-runs it with all sub-transaction writes in
+  // the tree-private store. Futures always run in parallel there, so their
+  // writes really go through that store instead of the root write set.
+  bool fallback;
   std::size_t jobs;
 };
 
 std::string param_name(const ::testing::TestParamInfo<EngineParam>& info) {
   const EngineParam& p = info.param;
-  std::string s;
-  s += p.write_mode == WriteMode::kEager ? "Eager" : "Lazy";
-  s += p.inter_tree == InterTreePolicy::kAbortToRoot ? "Abort" : "Private";
-  s += p.restart == RestartPolicy::kTreeRestart ? "Restart" : "Fcc";
-  s += "J" + std::to_string(p.jobs);
-  return s;
+  return std::string(p.fallback ? "Fallback" : "Default") + "J" +
+         std::to_string(p.jobs);
 }
 
 Config make_config(const EngineParam& p) {
   Config cfg;
   cfg.pool_threads = 3;
-  cfg.write_mode = p.write_mode;
-  cfg.inter_tree = p.inter_tree;
-  cfg.restart = p.restart;
+  if (p.fallback) {
+    cfg.scheduling = SchedulingMode::kAlwaysParallel;
+    cfg.chaos.add("core.subtxn.start", txf::util::fp::Action::kFail, 5);
+  }
   return cfg;
 }
 
-// TSan cannot follow the fiber stack restore that kPartialRollback runs on
-// (see the quarantine note in tests/CMakeLists.txt); the tree-restart rows
-// of the sweep still run sanitized.
-class EngineSweep : public ::testing::TestWithParam<EngineParam> {
- protected:
-  void SetUp() override {
-    if (GetParam().restart == RestartPolicy::kPartialRollback &&
-        txf::core::kFibersUnsafeUnderTsan) {
-      GTEST_SKIP() << "fiber restore is incompatible with TSan";
-    }
-  }
-};
+// Fallback rows must actually have restarted trees in fallback mode.
+void expect_fallback_exercised(Runtime& rt, const EngineParam& p) {
+  if (p.fallback) EXPECT_GT(rt.stats().fallback_restarts.load(), 0u);
+}
+
+class EngineSweep : public ::testing::TestWithParam<EngineParam> {};
 
 class VacationSweep : public EngineSweep {};
 
@@ -89,6 +81,7 @@ TEST_P(VacationSweep, ConcurrentMixPassesAudit) {
   }
   for (auto& th : threads) th.join();
   EXPECT_TRUE(db.audit(rt));
+  expect_fallback_exercised(rt, GetParam());
 }
 
 class TpccSweep : public EngineSweep {};
@@ -112,23 +105,13 @@ TEST_P(TpccSweep, ConcurrentMixPassesAudit) {
   }
   for (auto& th : threads) th.join();
   EXPECT_TRUE(db.audit(rt));
+  expect_fallback_exercised(rt, GetParam());
 }
 
 const EngineParam kParams[] = {
-    {WriteMode::kEager, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kTreeRestart, 1},
-    {WriteMode::kEager, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kTreeRestart, 3},
-    {WriteMode::kEager, InterTreePolicy::kSwitchToPrivate,
-     RestartPolicy::kTreeRestart, 3},
-    {WriteMode::kLazy, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kTreeRestart, 3},
-    {WriteMode::kEager, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kPartialRollback, 1},
-    {WriteMode::kEager, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kPartialRollback, 3},
-    {WriteMode::kLazy, InterTreePolicy::kSwitchToPrivate,
-     RestartPolicy::kPartialRollback, 3},
+    {false, 1},
+    {false, 3},
+    {true, 3},  // jobs=1 runs no futures, so it cannot reach fallback mode
 };
 
 INSTANTIATE_TEST_SUITE_P(Engine, VacationSweep, ::testing::ValuesIn(kParams),
